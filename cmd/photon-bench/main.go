@@ -62,7 +62,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		perf       = fs.Bool("perf", false, "run the hot-path performance baseline instead of experiments")
-		perfOut    = fs.String("perf-out", "BENCH_PR8.json", "where -perf writes its JSON report")
+		perfOut    = fs.String("perf-out", "", "where -perf writes its JSON report (required with -perf)")
 		version    = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -74,6 +74,10 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *perf {
+		if *perfOut == "" {
+			fmt.Fprintln(stderr, "photon-bench: -perf needs -perf-out <file>")
+			return 2
+		}
 		rep, err := bench.Run(stdout)
 		if err != nil {
 			fmt.Fprintf(stderr, "photon-bench: perf: %v\n", err)

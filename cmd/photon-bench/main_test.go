@@ -37,6 +37,8 @@ func TestExitCodes(t *testing.T) {
 		{"version", []string{"-version"}, 0},
 		{"table1 ok", []string{"-exp", "table1"}, 0},
 		{"json path unwritable", []string{"-exp", "table1", "-json", "/nonexistent-dir/x.jsonl"}, 1},
+		// -perf no longer defaults to overwriting a committed report.
+		{"perf without perf-out", []string{"-perf"}, 2},
 	}
 	for _, tc := range cases {
 		var out, errBuf bytes.Buffer

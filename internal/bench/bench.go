@@ -245,6 +245,9 @@ func emuStepBench(insts *uint64) func(*testing.B) {
 		if err := grp.RunFunctional(); err != nil {
 			b.Fatal(err)
 		}
+		// testing.Benchmark calls this function once per b.N round, so set
+		// the count rather than accumulate it across rounds.
+		*insts = 0
 		for _, w := range grp.Warps {
 			*insts += w.InstCount()
 		}

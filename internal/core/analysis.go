@@ -34,7 +34,11 @@ type Profile struct {
 
 // AnalyzeOnline functionally simulates ~fraction of the launch's warps
 // (sampled at workgroup granularity, spread evenly across the grid) and
-// summarizes their behavior. The paper uses fraction = 1%.
+// summarizes their behavior. The paper uses fraction = 1%. The sampled
+// workgroups run again in the real simulation, so their stores are undone
+// before AnalyzeOnline returns: the launch's memory is left as it was found,
+// and an in-place update (an SGD step, an atomic accumulation) is applied
+// once, not twice.
 func AnalyzeOnline(l *kernel.Launch, fraction float64) (*Profile, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
@@ -53,9 +57,12 @@ func AnalyzeOnline(l *kernel.Launch, fraction float64) (*Profile, error) {
 		Types:      make(map[uint64]*bbv.TypeProfile),
 		BlockInsts: make([]uint64, l.Program.NumBlocks()),
 	}
+	undo := undoMemory{mem: l.Memory}
+	defer undo.restore()
 	var grp emu.Group
 	for i := 0; i < sampleWGs; i++ {
 		grp.Reset(l, i*stride)
+		grp.SetMemory(&undo)
 		if err := grp.RunFunctional(); err != nil {
 			return nil, fmt.Errorf("core: online analysis of %s: %w", l.Name, err)
 		}
@@ -87,6 +94,52 @@ func AnalyzeOnline(l *kernel.Launch, fraction float64) (*Profile, error) {
 		p.MeanWarpInsts = float64(p.SampledInsts) / float64(p.SampledWarps)
 	}
 	return p, nil
+}
+
+// undoMemory is the emu.Memory the online analysis runs against: it passes
+// reads and writes through to the launch's memory, logging the old word of
+// every write (atomics included), so restore can put the memory back. The
+// log is run-length coded: consecutive writes to consecutive words (a
+// wavefront's contiguous store) share one run header, so it costs about
+// four bytes per word instead of a 16-byte entry.
+type undoMemory struct {
+	mem  emu.Memory
+	runs []undoRun
+	old  []uint32 // old words in write order; runs index into it
+}
+
+// undoRun is a series of writes to consecutive words starting at addr; its
+// old words are old[start:] up to the next run's start.
+type undoRun struct {
+	addr  uint64
+	start int
+}
+
+func (u *undoMemory) Read32(addr uint64) uint32 { return u.mem.Read32(addr) }
+
+func (u *undoMemory) Write32(addr uint64, v uint32) {
+	if n := len(u.runs); n == 0 || u.runs[n-1].addr+4*uint64(len(u.old)-u.runs[n-1].start) != addr {
+		u.runs = append(u.runs, undoRun{addr, len(u.old)})
+	}
+	u.old = append(u.old, u.mem.Read32(addr))
+	u.mem.Write32(addr, v)
+}
+
+// Window refuses every span, so each store reaches Write32 and is logged.
+func (u *undoMemory) Window(uint64, int) ([]byte, bool) { return nil, false }
+
+// restore rewrites the logged old words newest first, which also undoes
+// repeated and overlapping writes to one address.
+func (u *undoMemory) restore() {
+	end := len(u.old)
+	for i := len(u.runs) - 1; i >= 0; i-- {
+		r := u.runs[i]
+		for j := end - 1; j >= r.start; j-- {
+			u.mem.Write32(r.addr+4*uint64(j-r.start), u.old[j])
+		}
+		end = r.start
+	}
+	u.runs, u.old = u.runs[:0], u.old[:0]
 }
 
 // BlockShare returns each block's fraction of sampled instructions.

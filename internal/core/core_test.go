@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"photon/internal/core/bbv"
@@ -414,6 +415,29 @@ func TestEventTimeRounding(t *testing.T) {
 	}
 	if eventTime(-3) != 0 {
 		t.Fatal("negative times must clamp to zero")
+	}
+}
+
+func TestChooseTier(t *testing.T) {
+	for _, c := range []struct {
+		complete, warp, bb bool
+		want               string
+	}{
+		{true, false, false, "full"},
+		{true, true, true, "full"},
+		{false, true, false, "warp-sampling"},
+		{false, true, true, "warp-sampling"},
+		{false, false, true, "bb-sampling"},
+	} {
+		if got, err := chooseTier("k", c.complete, c.warp, c.bb); err != nil || got != c.want {
+			t.Errorf("chooseTier(%v, %v, %v) = %q, %v; want %q", c.complete, c.warp, c.bb, got, err, c.want)
+		}
+	}
+	// An incomplete run with no detector fired is an error naming the
+	// kernel, never a silent "full".
+	tier, err := chooseTier("relu_fwd", false, false, false)
+	if err == nil || !strings.Contains(err.Error(), "relu_fwd") {
+		t.Fatalf("chooseTier(incomplete, no detector) = %q, %v; want an error naming the kernel", tier, err)
 	}
 }
 

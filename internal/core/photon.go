@@ -271,19 +271,22 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 		return gpu.KernelResult{}, err
 	}
 
+	tier, err := chooseTier(l.Name, res.Complete, wT != nil && wT.triggered, bbT != nil && bbT.triggered)
+	if err != nil {
+		return gpu.KernelResult{}, err
+	}
 	result := gpu.KernelResult{
+		Mode:          tier,
 		DetailedInsts: res.InstCount,
 	}
-	switch {
-	case res.Complete:
-		result.Mode = "full"
+	switch tier {
+	case "full":
 		result.SimTime = res.EndTime
 		result.Insts = res.InstCount
 
-	case wT != nil && wT.triggered:
+	case "warp-sampling":
 		// Warp-sampling (Figure 10, step 3): simulate only the scheduler;
 		// every remaining warp takes the window's mean duration.
-		result.Mode = "warp-sampling"
 		remainingGroups := l.NumWorkgroups - res.NextWG
 		end := UniformMakespan(float64(res.GateTime), float64(res.EndTime),
 			wT.meanWarpTime(), remainingGroups, shape)
@@ -291,10 +294,9 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 		skippedWarps := float64(remainingGroups * l.WarpsPerGroup)
 		result.Insts = res.InstCount + uint64(skippedWarps*profile.MeanWarpInsts)
 
-	case bbT != nil && bbT.triggered:
+	case "bb-sampling":
 		// Basic-block-sampling (Figure 7, step 3): functionally simulate
 		// the remaining warps and accumulate their blocks' predicted times.
-		result.Mode = "bb-sampling"
 		lm := NewLatencyModel(latTab, g.Config().Compute, p.params.DefaultMemLatency)
 		durations := make([]float64, 0, l.NumWorkgroups-res.NextWG)
 		insts := res.InstCount
@@ -317,13 +319,6 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 		end := PredictMakespan(float64(res.GateTime), float64(res.EndTime), durations, shape)
 		result.SimTime = eventTime(end)
 		result.Insts = insts
-
-	default:
-		// The gate never fired and the run is incomplete — impossible by
-		// construction, but fall back to reporting the detailed portion.
-		result.Mode = "full"
-		result.SimTime = res.EndTime
-		result.Insts = res.InstCount
 	}
 
 	p.history.Add(KernelRecord{
@@ -342,6 +337,23 @@ func (p *Photon) RunKernel(g *gpu.GPU, l *kernel.Launch) (gpu.KernelResult, erro
 	dec.WarpSlope, dec.WarpSlopeOK = wT.slope()
 	p.recordKernel(l.Name, profile, result, dec)
 	return result, nil
+}
+
+// chooseTier names the tier that finishes a kernel's detailed run: full
+// when the run completed, else the level whose detector closed the gate
+// (warp-sampling wins when both fired). The timing model stops early only
+// when the gate closes, so an incomplete run with no detector fired is a
+// simulator bug and an error.
+func chooseTier(name string, complete, warpFired, bbFired bool) (string, error) {
+	switch {
+	case complete:
+		return "full", nil
+	case warpFired:
+		return "warp-sampling", nil
+	case bbFired:
+		return "bb-sampling", nil
+	}
+	return "", fmt.Errorf("core: %s: detailed run stopped early with no detector fired", name)
 }
 
 // eventTime converts a float cycle count to the event clock type, rounding

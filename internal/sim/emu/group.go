@@ -65,6 +65,11 @@ func (g *Group) Reset(l *kernel.Launch, groupID int) {
 	}
 }
 
+// SetMemory binds the memory the group's warps read and write until the
+// next Reset, which rebinds the launch's own. Photon's online analysis binds
+// an undo-logging memory here so its sampled workgroups leave no trace.
+func (g *Group) SetMemory(m Memory) { g.store.SetMemView(m) }
+
 // RunFunctional executes every warp of the group to completion with no
 // timing model, alternating between warps at barrier boundaries so that LDS
 // producer/consumer patterns (tile loads before a barrier, reads after) stay

@@ -29,6 +29,11 @@ const (
 type Memory interface {
 	Read32(addr uint64) uint32
 	Write32(addr uint64, v uint32)
+	// Window returns the n bytes at addr as one writable slice, or false
+	// when the memory cannot serve the span that way (it crosses a page,
+	// or the memory must see every word). Callers fall back to
+	// Read32/Write32 on false.
+	Window(addr uint64, n int) ([]byte, bool)
 }
 
 // WarpStore holds the architectural state of many warps in
@@ -92,6 +97,12 @@ type WarpStore struct {
 	// StepInfo.AtomicVals/AtomicLanes alias, with addrBuf's lifetime rules.
 	atomVal  [kernel.WavefrontSize]uint32
 	atomLane [kernel.WavefrontSize]uint8
+
+	// bcast holds one scratch row per source operand position; a scalar
+	// register or immediate source is written to its row's lane 0 once per
+	// instruction and read with index mask 0 (see WarpStore.src). Only lane
+	// 0 is used; the full row type lets kernels index every source alike.
+	bcast [3]lanes
 }
 
 // NewWarpStore builds a store for the launch with the given slot capacity.
@@ -255,12 +266,12 @@ func (s *WarpStore) BytesPerWarp() int {
 }
 
 // ResidentBytes returns the total heap bytes the store's slabs retain
-// (capacities, not lengths), plus the shared address buffer.
+// (capacities, not lengths), plus the shared address and broadcast buffers.
 func (s *WarpStore) ResidentBytes() int {
 	return cap(s.pc)*4 + cap(s.exec)*8 + cap(s.vcc)*8 +
 		cap(s.instCount)*8 + cap(s.outMem)*4 + cap(s.flags) +
 		cap(s.masks)*8 + (cap(s.sgpr)+cap(s.vgpr)+cap(s.bb))*4 +
-		cap(s.free)*4 + len(s.addrBuf)*8
+		cap(s.free)*4 + len(s.addrBuf)*8 + len(s.bcast)*len(s.bcast[0])*4
 }
 
 // WarpBytes returns the SoA bytes per warp slot a store for the launch

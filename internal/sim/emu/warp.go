@@ -10,8 +10,10 @@
 package emu
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"photon/internal/sim/isa"
 	"photon/internal/sim/kernel"
@@ -172,35 +174,41 @@ func badOperand(name, class string, k isa.OperandKind) uint32 {
 	panic(fmt.Sprintf("emu: %s: bad %s operand kind %d", name, class, k))
 }
 
-// vsrc resolves a vector-instruction source once per instruction rather than
-// once per lane: a VReg source yields its wavefront-sized lane window,
-// scalar registers and immediates a broadcast value. Sources an op does not
-// declare (OperandNone) are never read and resolve to a zero broadcast.
-func vsrc(sgpr, vgpr []uint32, o isa.Operand) (lanes []uint32, bcast uint32) {
+// lanes is one wavefront-wide row of 32-bit values: a vector register, or a
+// store scratch row holding a broadcast value.
+type lanes [kernel.WavefrontSize]uint32
+
+// allLanes is the EXEC mask with every lane of the wavefront enabled.
+const allLanes = ^uint64(0)
+
+// zeroLanes backs a source an op does not declare (OperandNone); it is
+// never written.
+var zeroLanes lanes
+
+// vreg returns vector register r's lane row.
+func vreg(vgpr []uint32, r uint16) *lanes {
+	base := int(r) * kernel.WavefrontSize
+	return (*lanes)(vgpr[base : base+kernel.WavefrontSize])
+}
+
+// src resolves source operand k (0..2) of a vector instruction once per
+// instruction, not once per lane. Lane i of the source is row[i&mask]: a
+// VReg source is its register row with mask 63, while a scalar register or
+// immediate is written once into row[0] of the store's scratch row k and
+// read with mask 0. The masked index keeps every kernel a single loop with
+// no per-lane branch on the operand kind and no bounds checks.
+func (s *WarpStore) src(k int, sgpr, vgpr []uint32, o isa.Operand) (row *lanes, mask int) {
 	switch o.Kind {
 	case isa.OperandVReg:
-		base := int(o.Idx) * kernel.WavefrontSize
-		return vgpr[base : base+kernel.WavefrontSize], 0
+		return vreg(vgpr, o.Idx), kernel.WavefrontSize - 1
 	case isa.OperandSReg:
-		return nil, sgpr[o.Idx]
+		s.bcast[k][0] = sgpr[o.Idx]
 	case isa.OperandImm:
-		return nil, uint32(o.Imm)
+		s.bcast[k][0] = uint32(o.Imm)
+	default:
+		return &zeroLanes, 0
 	}
-	return nil, 0
-}
-
-// lv reads one lane of a source resolved by vsrc.
-func lv(lanes []uint32, bcast uint32, lane int) uint32 {
-	if lanes != nil {
-		return lanes[lane]
-	}
-	return bcast
-}
-
-// vdst returns the destination register's lane window.
-func vdst(vgpr []uint32, o isa.Operand) []uint32 {
-	base := int(o.Idx) * kernel.WavefrontSize
-	return vgpr[base : base+kernel.WavefrontSize]
+	return &s.bcast[k], 0
 }
 
 // SReg returns scalar register i (for tests and debugging).
@@ -371,151 +379,370 @@ func (w *Warp) Step(info *StepInfo) {
 	st.pc[slot] = int32(nextPC)
 }
 
+// vectorALU switches on the op once and runs that op's own loop over the
+// lane rows. Under full EXEC the loop covers every lane; a partial EXEC
+// takes vectorALULanes, which visits only the enabled lanes.
 func (w *Warp) vectorALU(in *isa.Inst, sgpr []uint32) {
+	st := w.store
+	exec := st.exec[w.slot]
+	if exec != allLanes {
+		w.vectorALULanes(in, sgpr, exec)
+		return
+	}
 	vgpr := w.vregs()
-	exec := w.store.exec[w.slot]
-	l0, b0 := vsrc(sgpr, vgpr, in.Src0)
-	l1, b1 := vsrc(sgpr, vgpr, in.Src1)
-	l2, b2 := vsrc(sgpr, vgpr, in.Src2)
-	dst := vdst(vgpr, in.Dst)
-	for lane := 0; lane < kernel.WavefrontSize; lane++ {
-		if exec&(1<<uint(lane)) == 0 {
-			continue
+	a, am := st.src(0, sgpr, vgpr, in.Src0)
+	b, bm := st.src(1, sgpr, vgpr, in.Src1)
+	d := vreg(vgpr, in.Dst.Idx)
+	switch in.Op {
+	case isa.OpVMov:
+		for i := range d {
+			d[i] = a[i&am]
 		}
-		a, b := lv(l0, b0, lane), lv(l1, b1, lane)
+	case isa.OpVAdd:
+		for i := range d {
+			d[i] = a[i&am] + b[i&bm]
+		}
+	case isa.OpVSub:
+		for i := range d {
+			d[i] = a[i&am] - b[i&bm]
+		}
+	case isa.OpVMul:
+		for i := range d {
+			d[i] = uint32(sext(a[i&am]) * sext(b[i&bm]))
+		}
+	case isa.OpVMad:
+		c, cm := st.src(2, sgpr, vgpr, in.Src2)
+		for i := range d {
+			d[i] = uint32(sext(a[i&am])*sext(b[i&bm])) + c[i&cm]
+		}
+	case isa.OpVLShl:
+		for i := range d {
+			d[i] = a[i&am] << (b[i&bm] & 31)
+		}
+	case isa.OpVLShr:
+		for i := range d {
+			d[i] = a[i&am] >> (b[i&bm] & 31)
+		}
+	case isa.OpVAnd:
+		for i := range d {
+			d[i] = a[i&am] & b[i&bm]
+		}
+	case isa.OpVOr:
+		for i := range d {
+			d[i] = a[i&am] | b[i&bm]
+		}
+	case isa.OpVXor:
+		for i := range d {
+			d[i] = a[i&am] ^ b[i&bm]
+		}
+	case isa.OpVMin:
+		for i := range d {
+			d[i] = uint32(min(sext(a[i&am]), sext(b[i&bm])))
+		}
+	case isa.OpVMax:
+		for i := range d {
+			d[i] = uint32(max(sext(a[i&am]), sext(b[i&bm])))
+		}
+	case isa.OpVDiv:
+		for i := range d {
+			d[i] = a[i&am] / b[i&bm]
+		}
+	case isa.OpVMod:
+		for i := range d {
+			d[i] = a[i&am] % b[i&bm]
+		}
+	case isa.OpVFAdd:
+		for i := range d {
+			x, y := a[i&am], b[i&bm]
+			d[i] = nan2(bits32(f32(x)+f32(y)), x, y)
+		}
+	case isa.OpVFSub:
+		for i := range d {
+			x, y := a[i&am], b[i&bm]
+			d[i] = nan2(bits32(f32(x)-f32(y)), x, y)
+		}
+	case isa.OpVFMul:
+		for i := range d {
+			x, y := a[i&am], b[i&bm]
+			d[i] = nan2(bits32(f32(x)*f32(y)), x, y)
+		}
+	case isa.OpVFFma:
+		c, cm := st.src(2, sgpr, vgpr, in.Src2)
+		for i := range d {
+			x, y, z := a[i&am], b[i&bm], c[i&cm]
+			d[i] = nanFma(bits32(f32(x)*f32(y)+f32(z)), x, y, z)
+		}
+	case isa.OpVFMin:
+		for i := range d {
+			d[i] = bits32(float32(math.Min(float64(f32(a[i&am])), float64(f32(b[i&bm])))))
+		}
+	case isa.OpVFMax:
+		for i := range d {
+			d[i] = bits32(float32(math.Max(float64(f32(a[i&am])), float64(f32(b[i&bm])))))
+		}
+	case isa.OpVFRcp:
+		for i := range d {
+			d[i] = bits32(1 / f32(a[i&am]))
+		}
+	case isa.OpVFSqrt:
+		for i := range d {
+			d[i] = bits32(float32(math.Sqrt(float64(f32(a[i&am])))))
+		}
+	case isa.OpVFExp:
+		for i := range d {
+			d[i] = bits32(float32(math.Exp(float64(f32(a[i&am])))))
+		}
+	case isa.OpVFAbs:
+		for i := range d {
+			d[i] = bits32(float32(math.Abs(float64(f32(a[i&am])))))
+		}
+	case isa.OpVCvtI2F:
+		for i := range d {
+			d[i] = bits32(float32(sext(a[i&am])))
+		}
+	case isa.OpVCvtF2I:
+		for i := range d {
+			d[i] = uint32(int32(f32(a[i&am])))
+		}
+	}
+}
+
+// vectorALULanes is the partial-EXEC path: the per-lane switch over the
+// enabled lanes only, so an inactive lane never computes (v_div and v_mod
+// would trap on its stale divisor).
+func (w *Warp) vectorALULanes(in *isa.Inst, sgpr []uint32, exec uint64) {
+	st := w.store
+	vgpr := w.vregs()
+	a, am := st.src(0, sgpr, vgpr, in.Src0)
+	b, bm := st.src(1, sgpr, vgpr, in.Src1)
+	c, cm := st.src(2, sgpr, vgpr, in.Src2)
+	d := vreg(vgpr, in.Dst.Idx)
+	for m := exec; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros64(m)
+		x, y := a[lane&am], b[lane&bm]
 		var r uint32
 		switch in.Op {
 		case isa.OpVMov:
-			r = a
+			r = x
 		case isa.OpVAdd:
-			r = a + b
+			r = x + y
 		case isa.OpVSub:
-			r = a - b
+			r = x - y
 		case isa.OpVMul:
-			r = uint32(sext(a) * sext(b))
+			r = uint32(sext(x) * sext(y))
 		case isa.OpVMad:
-			r = uint32(sext(a)*sext(b)) + lv(l2, b2, lane)
+			r = uint32(sext(x)*sext(y)) + c[lane&cm]
 		case isa.OpVLShl:
-			r = a << (b & 31)
+			r = x << (y & 31)
 		case isa.OpVLShr:
-			r = a >> (b & 31)
+			r = x >> (y & 31)
 		case isa.OpVAnd:
-			r = a & b
+			r = x & y
 		case isa.OpVOr:
-			r = a | b
+			r = x | y
 		case isa.OpVXor:
-			r = a ^ b
+			r = x ^ y
 		case isa.OpVMin:
-			x, y := sext(a), sext(b)
-			if y < x {
-				x = y
-			}
-			r = uint32(x)
+			r = uint32(min(sext(x), sext(y)))
 		case isa.OpVMax:
-			x, y := sext(a), sext(b)
-			if y > x {
-				x = y
-			}
-			r = uint32(x)
+			r = uint32(max(sext(x), sext(y)))
 		case isa.OpVDiv:
-			r = a / b
+			r = x / y
 		case isa.OpVMod:
-			r = a % b
+			r = x % y
 		case isa.OpVFAdd:
-			r = bits32(f32(a) + f32(b))
+			r = nan2(bits32(f32(x)+f32(y)), x, y)
 		case isa.OpVFSub:
-			r = bits32(f32(a) - f32(b))
+			r = nan2(bits32(f32(x)-f32(y)), x, y)
 		case isa.OpVFMul:
-			r = bits32(f32(a) * f32(b))
+			r = nan2(bits32(f32(x)*f32(y)), x, y)
 		case isa.OpVFFma:
-			r = bits32(f32(a)*f32(b) + f32(lv(l2, b2, lane)))
+			z := c[lane&cm]
+			r = nanFma(bits32(f32(x)*f32(y)+f32(z)), x, y, z)
 		case isa.OpVFMin:
-			r = bits32(float32(math.Min(float64(f32(a)), float64(f32(b)))))
+			r = bits32(float32(math.Min(float64(f32(x)), float64(f32(y)))))
 		case isa.OpVFMax:
-			r = bits32(float32(math.Max(float64(f32(a)), float64(f32(b)))))
+			r = bits32(float32(math.Max(float64(f32(x)), float64(f32(y)))))
 		case isa.OpVFRcp:
-			r = bits32(1 / f32(a))
+			r = bits32(1 / f32(x))
 		case isa.OpVFSqrt:
-			r = bits32(float32(math.Sqrt(float64(f32(a)))))
+			r = bits32(float32(math.Sqrt(float64(f32(x)))))
 		case isa.OpVFExp:
-			r = bits32(float32(math.Exp(float64(f32(a)))))
+			r = bits32(float32(math.Exp(float64(f32(x)))))
 		case isa.OpVFAbs:
-			r = bits32(float32(math.Abs(float64(f32(a)))))
+			r = bits32(float32(math.Abs(float64(f32(x)))))
 		case isa.OpVCvtI2F:
-			r = bits32(float32(sext(a)))
+			r = bits32(float32(sext(x)))
 		case isa.OpVCvtF2I:
-			r = uint32(int32(f32(a)))
+			r = uint32(int32(f32(x)))
 		}
-		dst[lane] = r
+		d[lane] = r
 	}
 }
 
+// Float results that are NaN get an explicit payload, so they do not depend
+// on which operand the compiler leaves in the destination register of a
+// commutative instruction. The rule is the one amd64 applies when the
+// destination holds the first operand, which the emulator has always
+// computed: a NaN operand propagates quieted (the first, if both are NaN);
+// otherwise the result is the operation's own default NaN (0·∞, ∞−∞).
+
+// nan2 returns r, the result of x op y, with the NaN rule applied.
+func nan2(r, x, y uint32) uint32 {
+	if !isNaN(r) {
+		return r
+	}
+	return pickNaN(r, x, y)
+}
+
+// nanFma returns r, the result of x*y + z, with the NaN rule applied to the
+// product and then to the sum, whose first operand is the product.
+func nanFma(r, x, y, z uint32) uint32 {
+	if !isNaN(r) {
+		return r
+	}
+	return fmaNaN(r, x, y, z)
+}
+
+func fmaNaN(r, x, y, z uint32) uint32 {
+	return pickNaN(r, pickNaN(bits32(f32(x)*f32(y)), x, y), z)
+}
+
+// pickNaN returns x or y quieted if either is a NaN, the first one first,
+// else r.
+func pickNaN(r, x, y uint32) uint32 {
+	const quiet = 1 << 22
+	switch {
+	case isNaN(x):
+		return x | quiet
+	case isNaN(y):
+		return y | quiet
+	}
+	return r
+}
+
+func isNaN(v uint32) bool { return v&0x7fffffff > 0x7f800000 }
+
+// vectorCmp switches on the op once and compares every lane, then masks the
+// result with EXEC: a compare cannot trap, so computing an inactive lane is
+// harmless and its bit never reaches VCC.
 func (w *Warp) vectorCmp(in *isa.Inst, sgpr []uint32) {
+	st := w.store
 	vgpr := w.vregs()
-	exec := w.store.exec[w.slot]
-	l0, b0 := vsrc(sgpr, vgpr, in.Src0)
-	l1, b1 := vsrc(sgpr, vgpr, in.Src1)
+	a, am := st.src(0, sgpr, vgpr, in.Src0)
+	b, bm := st.src(1, sgpr, vgpr, in.Src1)
 	var vcc uint64
-	for lane := 0; lane < kernel.WavefrontSize; lane++ {
-		if exec&(1<<uint(lane)) == 0 {
-			continue
+	switch in.Op {
+	case isa.OpVCmpLt:
+		for i := range kernel.WavefrontSize {
+			vcc |= laneBit(sext(a[i&am]) < sext(b[i&bm]), i)
 		}
-		a, b := lv(l0, b0, lane), lv(l1, b1, lane)
-		var t bool
-		switch in.Op {
-		case isa.OpVCmpLt:
-			t = sext(a) < sext(b)
-		case isa.OpVCmpLe:
-			t = sext(a) <= sext(b)
-		case isa.OpVCmpEq:
-			t = a == b
-		case isa.OpVCmpNe:
-			t = a != b
-		case isa.OpVCmpGt:
-			t = sext(a) > sext(b)
-		case isa.OpVCmpGe:
-			t = sext(a) >= sext(b)
-		case isa.OpVFCmpLt:
-			t = f32(a) < f32(b)
-		case isa.OpVFCmpGt:
-			t = f32(a) > f32(b)
+	case isa.OpVCmpLe:
+		for i := range kernel.WavefrontSize {
+			vcc |= laneBit(sext(a[i&am]) <= sext(b[i&bm]), i)
 		}
-		if t {
-			vcc |= 1 << uint(lane)
+	case isa.OpVCmpEq:
+		for i := range kernel.WavefrontSize {
+			vcc |= laneBit(a[i&am] == b[i&bm], i)
+		}
+	case isa.OpVCmpNe:
+		for i := range kernel.WavefrontSize {
+			vcc |= laneBit(a[i&am] != b[i&bm], i)
+		}
+	case isa.OpVCmpGt:
+		for i := range kernel.WavefrontSize {
+			vcc |= laneBit(sext(a[i&am]) > sext(b[i&bm]), i)
+		}
+	case isa.OpVCmpGe:
+		for i := range kernel.WavefrontSize {
+			vcc |= laneBit(sext(a[i&am]) >= sext(b[i&bm]), i)
+		}
+	case isa.OpVFCmpLt:
+		for i := range kernel.WavefrontSize {
+			vcc |= laneBit(f32(a[i&am]) < f32(b[i&bm]), i)
+		}
+	case isa.OpVFCmpGt:
+		for i := range kernel.WavefrontSize {
+			vcc |= laneBit(f32(a[i&am]) > f32(b[i&bm]), i)
 		}
 	}
-	w.store.vcc[w.slot] = vcc
+	st.vcc[w.slot] = vcc & st.exec[w.slot]
 }
 
+// laneBit returns lane i's mask bit when t holds.
+func laneBit(t bool, i int) uint64 {
+	var b uint64
+	if t {
+		b = 1
+	}
+	return b << uint(i)
+}
+
+// vectorMem computes every active lane's address first (StepInfo.Addrs
+// reports them either way), then moves the data. A full-EXEC access to
+// base+4·lane with a word-aligned base moves through one page window when
+// the memory grants it; gathers, partial EXEC and page-straddling spans go
+// lane by lane.
 func (w *Warp) vectorMem(in *isa.Inst, info *StepInfo, sgpr []uint32, store bool) {
 	info.Kind = StepVectorMem
 	info.IsStore = store
 	st := w.store
 	vgpr := w.vregs()
 	exec := st.exec[w.slot]
-	la, ba := vsrc(sgpr, vgpr, in.Src0)
-	lval, bval := vsrc(sgpr, vgpr, in.Src1)
-	var dst []uint32
-	if !store {
-		dst = vdst(vgpr, in.Dst)
-	}
+	a, am := st.src(0, sgpr, vgpr, in.Src0)
+	v, vm := st.src(1, sgpr, vgpr, in.Src1)
+	off := uint64(int64(in.Offset))
+	var win *[4 * kernel.WavefrontSize]byte
 	n := 0
-	memArena := st.mem
-	for lane := 0; lane < kernel.WavefrontSize; lane++ {
-		if exec&(1<<uint(lane)) == 0 {
-			continue
+	if exec == allLanes {
+		// Full EXEC: note on the way whether the addresses are the span
+		// base+4·lane, and if so ask the memory for its page window.
+		base := uint64(a[0]) + off
+		diff := base & 3
+		for i := range kernel.WavefrontSize {
+			addr := uint64(a[i&am]) + off
+			st.addrBuf[i] = addr
+			diff |= addr ^ (base + 4*uint64(i))
 		}
-		addr := uint64(lv(la, ba, lane)) + uint64(int64(in.Offset))
-		st.addrBuf[n] = addr
-		n++
-		if store {
-			memArena.Write32(addr, lv(lval, bval, lane))
-		} else {
-			dst[lane] = memArena.Read32(addr)
+		n = kernel.WavefrontSize
+		if diff == 0 {
+			if span, ok := st.mem.Window(base, 4*kernel.WavefrontSize); ok {
+				win = (*[4 * kernel.WavefrontSize]byte)(span)
+			}
+		}
+	} else {
+		for m := exec; m != 0; m &= m - 1 {
+			st.addrBuf[n] = uint64(a[bits.TrailingZeros64(m)&am]) + off
+			n++
 		}
 	}
 	info.Addrs = st.addrBuf[:n]
 	st.outMem[w.slot]++
+
+	var d *lanes
+	if !store {
+		d = vreg(vgpr, in.Dst.Idx)
+	}
+	if win != nil {
+		if store {
+			for i := range kernel.WavefrontSize {
+				binary.LittleEndian.PutUint32(win[4*i:], v[i&vm])
+			}
+		} else {
+			for i := range d {
+				d[i] = binary.LittleEndian.Uint32(win[4*i:])
+			}
+		}
+		return
+	}
+	for m, k := exec, 0; m != 0; m, k = m&(m-1), k+1 {
+		lane := bits.TrailingZeros64(m)
+		if store {
+			st.mem.Write32(st.addrBuf[k], v[lane&vm])
+		} else {
+			d[lane] = st.mem.Read32(st.addrBuf[k])
+		}
+	}
 }
 
 // atomicMem executes a per-lane read-modify-write. Lanes resolve in lane
@@ -526,16 +753,15 @@ func (w *Warp) atomicMem(in *isa.Inst, info *StepInfo, sgpr []uint32) {
 	st := w.store
 	vgpr := w.vregs()
 	exec := st.exec[w.slot]
-	la, ba := vsrc(sgpr, vgpr, in.Src0)
-	lval, bval := vsrc(sgpr, vgpr, in.Src1)
+	a, am := st.src(0, sgpr, vgpr, in.Src0)
+	v, vm := st.src(1, sgpr, vgpr, in.Src1)
+	off := uint64(int64(in.Offset))
 	if st.deferAtomics {
 		n := 0
-		for lane := 0; lane < kernel.WavefrontSize; lane++ {
-			if exec&(1<<uint(lane)) == 0 {
-				continue
-			}
-			st.addrBuf[n] = uint64(lv(la, ba, lane)) + uint64(int64(in.Offset))
-			st.atomVal[n] = lv(lval, bval, lane)
+		for m := exec; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros64(m)
+			st.addrBuf[n] = uint64(a[lane&am]) + off
+			st.atomVal[n] = v[lane&vm]
 			st.atomLane[n] = uint8(lane)
 			n++
 		}
@@ -545,25 +771,20 @@ func (w *Warp) atomicMem(in *isa.Inst, info *StepInfo, sgpr []uint32) {
 		st.outMem[w.slot]++
 		return
 	}
-	var dst []uint32
+	var d *lanes
 	if in.Dst.Kind == isa.OperandVReg {
-		dst = vdst(vgpr, in.Dst)
+		d = vreg(vgpr, in.Dst.Idx)
 	}
 	n := 0
-	memArena := st.mem
-	for lane := 0; lane < kernel.WavefrontSize; lane++ {
-		if exec&(1<<uint(lane)) == 0 {
-			continue
-		}
-		addr := uint64(lv(la, ba, lane)) + uint64(int64(in.Offset))
+	for m := exec; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros64(m)
+		addr := uint64(a[lane&am]) + off
 		st.addrBuf[n] = addr
 		n++
-		old := memArena.Read32(addr)
-		val := lv(lval, bval, lane)
-		next := atomicRMW(in.Op, old, val)
-		memArena.Write32(addr, next)
-		if dst != nil {
-			dst[lane] = old
+		old := st.mem.Read32(addr)
+		st.mem.Write32(addr, atomicRMW(in.Op, old, v[lane&vm]))
+		if d != nil {
+			d[lane] = old
 		}
 	}
 	info.Addrs = st.addrBuf[:n]
@@ -598,51 +819,68 @@ func atomicRMW(op isa.Op, old, val uint32) uint32 {
 // barrier at the operation's deterministic completion slot; destination
 // writes landing after issue match hardware's asynchronous writeback, which
 // well-formed programs order with s_waitcnt before reuse.
-func (w *Warp) ApplyAtomic(in *isa.Inst, addrs []uint64, vals []uint32, lanes []uint8) {
+func (w *Warp) ApplyAtomic(in *isa.Inst, addrs []uint64, vals []uint32, laneIDs []uint8) {
 	st := w.store
-	var dst []uint32
+	var d *lanes
 	if in.Dst.Kind == isa.OperandVReg {
-		dst = vdst(w.vregs(), in.Dst)
+		d = vreg(w.vregs(), in.Dst.Idx)
 	}
 	for i, addr := range addrs {
 		old := st.mem.Read32(addr)
 		st.mem.Write32(addr, atomicRMW(in.Op, old, vals[i]))
-		if dst != nil {
-			dst[lanes[i]] = old
+		if d != nil {
+			d[laneIDs[i]] = old
 		}
 	}
 }
 
+// ldsAccess moves one word per active lane between a VGPR and the
+// workgroup's LDS. Under full EXEC the lowest and highest lane address are
+// bounds-checked once and the words move without per-lane range checks; a
+// partial EXEC, or a failed range check, goes lane by lane and panics at
+// the first out-of-range lane.
 func (w *Warp) ldsAccess(in *isa.Inst, info *StepInfo, sgpr []uint32, store bool) {
 	info.Kind = StepLDS
 	info.IsStore = store
+	st := w.store
 	vgpr := w.vregs()
-	exec := w.store.exec[w.slot]
-	la, ba := vsrc(sgpr, vgpr, in.Src0)
-	lval, bval := vsrc(sgpr, vgpr, in.Src1)
-	var dst []uint32
+	exec := st.exec[w.slot]
+	a, am := st.src(0, sgpr, vgpr, in.Src0)
+	v, vm := st.src(1, sgpr, vgpr, in.Src1)
+	var d *lanes
 	if !store {
-		dst = vdst(vgpr, in.Dst)
+		d = vreg(vgpr, in.Dst.Idx)
 	}
-	for lane := 0; lane < kernel.WavefrontSize; lane++ {
-		if exec&(1<<uint(lane)) == 0 {
-			continue
+	off := int(in.Offset)
+	if exec == allLanes {
+		lo, hi := a[0], a[0]
+		for i := range kernel.WavefrontSize {
+			lo, hi = min(lo, a[i&am]), max(hi, a[i&am])
 		}
-		addr := int(lv(la, ba, lane)) + int(in.Offset)
+		if int(lo)+off >= 0 && int(hi)+off+4 <= len(w.lds) {
+			if store {
+				for i := range kernel.WavefrontSize {
+					binary.LittleEndian.PutUint32(w.lds[int(a[i&am])+off:], v[i&vm])
+				}
+			} else {
+				for i := range d {
+					d[i] = binary.LittleEndian.Uint32(w.lds[int(a[i&am])+off:])
+				}
+			}
+			return
+		}
+	}
+	for m := exec; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros64(m)
+		addr := int(a[lane&am]) + off
 		if addr < 0 || addr+4 > len(w.lds) {
 			panic(fmt.Sprintf("emu: %s warp %d: LDS access %d out of %d bytes",
 				w.Launch.Name, w.GlobalID, addr, len(w.lds)))
 		}
 		if store {
-			v := lv(lval, bval, lane)
-			w.lds[addr] = byte(v)
-			w.lds[addr+1] = byte(v >> 8)
-			w.lds[addr+2] = byte(v >> 16)
-			w.lds[addr+3] = byte(v >> 24)
+			binary.LittleEndian.PutUint32(w.lds[addr:], v[lane&vm])
 		} else {
-			v := uint32(w.lds[addr]) | uint32(w.lds[addr+1])<<8 |
-				uint32(w.lds[addr+2])<<16 | uint32(w.lds[addr+3])<<24
-			dst[lane] = v
+			d[lane] = binary.LittleEndian.Uint32(w.lds[addr:])
 		}
 	}
 }

@@ -101,6 +101,18 @@ func (m *Flat) Write32(addr uint64, v uint32) {
 	}
 }
 
+// Window returns the n bytes at addr as a slice of their page, so a caller
+// can move a contiguous span with one page lookup instead of one per word.
+// It reports false when the span crosses a page boundary. Writes through
+// the slice land in memory.
+func (m *Flat) Window(addr uint64, n int) ([]byte, bool) {
+	off := addr & pageMask
+	if off+uint64(n) > pageSize {
+		return nil, false
+	}
+	return m.page(addr)[off : off+uint64(n)], true
+}
+
 // ReadF32 loads a float32.
 func (m *Flat) ReadF32(addr uint64) float32 { return math.Float32frombits(m.Read32(addr)) }
 
@@ -197,6 +209,15 @@ func (v *FlatView) Read32(addr uint64) uint32 {
 		b[i] = v.page(a)[a&pageMask]
 	}
 	return binary.LittleEndian.Uint32(b[:])
+}
+
+// Window is Flat.Window through the view's page cache.
+func (v *FlatView) Window(addr uint64, n int) ([]byte, bool) {
+	off := addr & pageMask
+	if off+uint64(n) > pageSize {
+		return nil, false
+	}
+	return v.page(addr)[off : off+uint64(n)], true
 }
 
 // Write32 stores a little-endian 32-bit word through the view.

@@ -39,6 +39,34 @@ func TestFlatCrossPageAccess(t *testing.T) {
 	}
 }
 
+// TestFlatWindow pins the page-window contract on both Flat and FlatView:
+// a span inside one page aliases memory in both directions, and a span that
+// crosses a page boundary is refused.
+func TestFlatWindow(t *testing.T) {
+	m := NewFlat()
+	for _, tc := range []struct {
+		name string
+		win  func(addr uint64, n int) ([]byte, bool)
+	}{{"flat", m.Window}, {"view", m.View().Window}} {
+		base := uint64(3*pageSize - 256)
+		m.Write32(base+8, 0xa1b2c3d4)
+		w, ok := tc.win(base, 256)
+		if !ok || len(w) != 256 {
+			t.Fatalf("%s: window of the page's last 256 bytes: ok=%v len=%d", tc.name, ok, len(w))
+		}
+		if w[8] != 0xd4 || w[11] != 0xa1 {
+			t.Fatalf("%s: window does not alias the stored word: % x", tc.name, w[8:12])
+		}
+		w[252] = 0x7f
+		if got := m.Read32(base + 252); got != 0x7f {
+			t.Fatalf("%s: write through the window not visible: %#x", tc.name, got)
+		}
+		if _, ok := tc.win(base+4, 256); ok {
+			t.Fatalf("%s: page-straddling window was granted", tc.name)
+		}
+	}
+}
+
 func TestFlatAllocAlignmentAndDisjointness(t *testing.T) {
 	m := NewFlat()
 	a := m.Alloc(100)
