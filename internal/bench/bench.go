@@ -1,10 +1,10 @@
 // Package bench is the repo's performance-baseline harness: a set of
 // programmatic microbenchmarks over the simulator's hot paths (event engine,
-// cache lookup, BBV update, functional emulation) plus one end-to-end
-// detailed simulation, emitting a machine-readable report. cmd/photon-bench
-// runs it under -perf and commits the result as BENCH_<PR>.json so
-// regressions show up as diffs; the CI smoke job re-validates the report
-// shape on every push.
+// cache lookup and streaming, BBV update, functional emulation) plus one
+// end-to-end detailed simulation, emitting a machine-readable report.
+// cmd/photon-bench runs it under -perf and commits the result as
+// BENCH_<PR>.json so regressions show up as diffs; the CI smoke job
+// re-validates the report shape on every push.
 package bench
 
 import (
@@ -190,6 +190,36 @@ func cacheLookupBench(b *testing.B) {
 	}
 }
 
+// cacheStreamBench is the streaming counterpart of cacheLookupBench: an
+// MI100-shaped hierarchy (120 CUs, 32 L2 banks) takes 64-lane contiguous
+// accesses to lines that are never reused, spread over the CUs. After a
+// warm-up that fills every L2 bank, each access misses L1 and L2 and
+// evicts in both, so the benchmark walks the full tag arrays.
+func cacheStreamBench(b *testing.B) {
+	cfg := gpu.MI100().Memory
+	h := mem.NewHierarchy(cfg)
+	var addrs [kernel.WavefrontSize]uint64
+	var base uint64
+	now := event.Time(0)
+	access := func(i int) {
+		for l := range addrs {
+			addrs[l] = base + uint64(l*4)
+		}
+		base += kernel.WavefrontSize * 4
+		h.VectorAccess(now, i%cfg.NumCUs, addrs[:], false)
+		now += 4
+	}
+	warm := cfg.L2Banks * cfg.L2.SizeBytes / (kernel.WavefrontSize * 4)
+	for i := 0; i < warm; i++ {
+		access(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		access(i)
+	}
+}
+
 // loopProgram is a small multi-block kernel (init, loop body, exit) used by
 // the BBV and emulation benchmarks.
 func loopProgram() *isa.Program {
@@ -357,6 +387,11 @@ func Run(w io.Writer) (Report, error) {
 
 	r = testing.Benchmark(cacheLookupBench)
 	res = toResult("cache_lookup", r)
+	rep.Micro = append(rep.Micro, res)
+	fmt.Fprintf(w, "%-22s %12.1f ns/op %9d allocs/op\n", res.Name, res.NsPerOp, res.AllocsPerOp)
+
+	r = testing.Benchmark(cacheStreamBench)
+	res = toResult("cache_stream", r)
 	rep.Micro = append(rep.Micro, res)
 	fmt.Fprintf(w, "%-22s %12.1f ns/op %9d allocs/op\n", res.Name, res.NsPerOp, res.AllocsPerOp)
 

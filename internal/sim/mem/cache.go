@@ -39,13 +39,6 @@ func (c CacheConfig) Validate() error {
 	return nil
 }
 
-type cacheLine struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64
-}
-
 // Lower is the interface a cache uses to fetch lines from the next level of
 // the hierarchy. Access takes the time the request leaves this level and
 // returns the time the line is available.
@@ -79,24 +72,33 @@ func newLevelMetrics(reg *obs.Registry, level string) *levelMetrics {
 // bandwidth contention. It is a timing model only: data lives in the
 // functional Flat memory.
 //
+// The tag store is one packed word per way. Each set's Ways words sit back
+// to back in recency order, most recently used first, so a hit moves its
+// word to the front and a miss evicts the tail. A word is
+// (line number + 1) << 1 | dirty, and 0 marks an invalid way: invalid ways
+// are never touched, so they sink to the tail and a miss takes one before
+// evicting any valid line.
+//
 // Statistics are dual-homed: per-kernel counts live in plain fields (reset
 // with the cache, read through the accessors below), while the cumulative
 // run totals stream into the level's registry-backed metrics.
 type Cache struct {
 	cfg      CacheConfig
-	sets     [][]cacheLine
+	ways     []uint64
 	setMask  uint64
 	lower    Lower
 	portFree event.Time
-	lruClock uint64
 
-	// accesses is counted independently at the top of Access rather than
+	// accesses is counted independently at the top of probe rather than
 	// derived from hits+misses, so the conservation check
 	// accesses == hits + misses is a real invariant and not a tautology.
 	accesses                            uint64
 	hits, misses, evictions, writebacks uint64
 	mx                                  *levelMetrics
 }
+
+// dirtyBit is the low bit of a packed way word.
+const dirtyBit = 1
 
 // NewCache builds a cache over the given lower level.
 func NewCache(cfg CacheConfig, lower Lower) *Cache {
@@ -107,14 +109,9 @@ func NewCache(cfg CacheConfig, lower Lower) *Cache {
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("mem: cache %q: set count %d not a power of two", cfg.Name, numSets))
 	}
-	sets := make([][]cacheLine, numSets)
-	backing := make([]cacheLine, numSets*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
-	}
 	// An unwired cache publishes into a zero levelMetrics: every handle is
 	// nil, so the nil-safe obs methods make each publish a no-op.
-	return &Cache{cfg: cfg, sets: sets, setMask: uint64(numSets - 1), lower: lower, mx: &levelMetrics{}}
+	return &Cache{cfg: cfg, ways: make([]uint64, numSets*cfg.Ways), setMask: uint64(numSets - 1), lower: lower, mx: &levelMetrics{}}
 }
 
 // Config returns the cache's configuration.
@@ -141,19 +138,60 @@ func (c *Cache) setMetrics(mx *levelMetrics) { c.mx = mx }
 // Reset invalidates all lines and clears statistics (used between kernels
 // when a cold-cache policy is wanted, and by tests).
 func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = cacheLine{}
-		}
-	}
+	clear(c.ways)
 	c.portFree = 0
 	c.accesses = 0
 	c.hits, c.misses, c.evictions, c.writebacks = 0, 0, 0, 0
 }
 
-// Access performs a timing access for the line containing lineAddr and
-// returns the completion time. lineAddr must be line-aligned.
-func (c *Cache) Access(now event.Time, lineAddr uint64, write bool) event.Time {
+// set returns the ways of the set holding lineAddr and the line's packed
+// clean word.
+func (c *Cache) set(lineAddr uint64) ([]uint64, uint64) {
+	line := lineAddr / LineSize // full line number doubles as the tag
+	i := int((line>>c.cfg.IndexShift)&c.setMask) * c.cfg.Ways
+	return c.ways[i : i+c.cfg.Ways], (line + 1) << 1
+}
+
+// lookup returns the index of the way holding word's line, or -1.
+func lookup(set []uint64, word uint64) int {
+	for i, w := range set {
+		if w&^dirtyBit == word {
+			return i
+		}
+	}
+	return -1
+}
+
+// touch moves way i to the front of its set, marking it dirty on a write.
+func touch(set []uint64, i int, write bool) {
+	w := set[i]
+	if write {
+		w |= dirtyBit
+	}
+	copy(set[1:i+1], set[:i])
+	set[0] = w
+}
+
+// fill inserts word at the front of its set and returns the word shifted
+// out of the tail: the LRU victim, or 0 if that way was invalid.
+func fill(set []uint64, word uint64, write bool) uint64 {
+	victim := set[len(set)-1]
+	copy(set[1:], set[:len(set)-1])
+	if write {
+		word |= dirtyBit
+	}
+	set[0] = word
+	return victim
+}
+
+// victimAddr is the line address a valid way word holds.
+func victimAddr(w uint64) uint64 { return (w>>1 - 1) * LineSize }
+
+// probe is the port arbitration, tag lookup, LRU update and plain counting
+// the serial and laned paths share. It returns when the access leaves the
+// tag check (the completion time of a hit, the departure time of a miss's
+// fill), whether it hit, and on a miss the evicted way word (0 if none).
+func (c *Cache) probe(now event.Time, lineAddr uint64, write bool) (at event.Time, hit bool, victim uint64) {
 	c.accesses++
 
 	// Port arbitration: the access cannot start before the port frees up.
@@ -162,126 +200,77 @@ func (c *Cache) Access(now event.Time, lineAddr uint64, write bool) event.Time {
 		start = c.portFree
 	}
 	c.portFree = start + c.cfg.ThroughputCycles
+	at = start + c.cfg.HitLatency
 
-	setIdx := ((lineAddr / LineSize) >> c.cfg.IndexShift) & c.setMask
-	tag := lineAddr / LineSize // full line number doubles as the tag
-	set := c.sets[setIdx]
-	c.lruClock++
-
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			c.hits++
-			c.mx.hits.Inc()
-			set[i].lru = c.lruClock
-			if write {
-				set[i].dirty = true
-			}
-			done := start + c.cfg.HitLatency
-			c.mx.latency.Observe(float64(done - now))
-			return done
-		}
+	set, word := c.set(lineAddr)
+	if i := lookup(set, word); i >= 0 {
+		c.hits++
+		touch(set, i, write)
+		return at, true, 0
 	}
-
-	// Miss: pick the LRU victim, write it back if dirty, then fill from the
-	// lower level. The writeback consumes lower-level bandwidth but is off
-	// the critical path of this access.
 	c.misses++
-	c.mx.misses.Inc()
-	victim := 0
-	for i := 1; i < len(set); i++ {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
-	if set[victim].valid {
+	victim = fill(set, word, write)
+	if victim != 0 {
 		c.evictions++
-		c.mx.evictions.Inc()
-		if set[victim].dirty {
+		if victim&dirtyBit != 0 {
 			c.writebacks++
-			c.mx.writebacks.Inc()
-			c.lower.Access(start+c.cfg.HitLatency, set[victim].tag*LineSize, true)
 		}
 	}
-	fillDone := c.lower.Access(start+c.cfg.HitLatency, lineAddr, false)
-	set[victim] = cacheLine{tag: tag, valid: true, dirty: write, lru: c.lruClock}
+	return at, false, victim
+}
+
+// Access performs a timing access for the line containing lineAddr and
+// returns the completion time. lineAddr must be line-aligned. A miss writes
+// back a dirty victim, then fills from the lower level; the writeback
+// consumes lower-level bandwidth but is off the critical path of this
+// access.
+func (c *Cache) Access(now event.Time, lineAddr uint64, write bool) event.Time {
+	at, hit, victim := c.probe(now, lineAddr, write)
+	if hit {
+		c.mx.hits.Inc()
+		c.mx.latency.Observe(float64(at - now))
+		return at
+	}
+	c.mx.misses.Inc()
+	if victim != 0 {
+		c.mx.evictions.Inc()
+		if victim&dirtyBit != 0 {
+			c.mx.writebacks.Inc()
+			c.lower.Access(at, victimAddr(victim), true)
+		}
+	}
+	fillDone := c.lower.Access(at, lineAddr, false)
 	c.mx.latency.Observe(float64(fillDone - now))
 	return fillDone
 }
 
-// accessAsync is Access for the quantum-laned path: identical tag/LRU/port
-// arithmetic, but instead of calling into the lower level synchronously, a
-// miss records its fill (and any victim writeback) on the lane port for the
-// coordinator to drain into the shared L2/DRAM at the next quantum barrier.
-// It also skips the shared registry-backed metrics entirely — those handles
-// are atomics common to every lane, and bumping them here would put
-// cache-line contention on the hottest loop in the simulator. The plain
-// per-cache counters (lane-owned, uncontended) keep counting; the laned
-// runner folds them into the registry once per run via FlushLaneTelemetry.
+// accessAsync is Access for the quantum-laned path: the same probe, but
+// instead of calling into the lower level synchronously, a miss records its
+// fill (and any victim writeback) on the lane port for the coordinator to
+// drain into the shared L2/DRAM at the next quantum barrier. It also skips
+// the shared registry-backed metrics entirely — those handles are atomics
+// common to every lane, and bumping them here would put cache-line
+// contention on the hottest loop in the simulator. The plain per-cache
+// counters (lane-owned, uncontended) keep counting; the laned runner folds
+// them into the registry once per run via FlushLaneTelemetry.
 //
 // Returns (done, false) when the access completed in-level (a hit), or
 // (0, true) when the fill was deferred; resolve will then be called at the
 // barrier with the completion time.
 func (c *Cache) accessAsync(now event.Time, lineAddr uint64, write bool, cu int, p *LanePort, resolve func(event.Time)) (event.Time, bool) {
-	c.accesses++
-
-	start := now
-	if c.portFree > start {
-		start = c.portFree
+	at, hit, victim := c.probe(now, lineAddr, write)
+	if hit {
+		return at, false
 	}
-	c.portFree = start + c.cfg.ThroughputCycles
-
-	setIdx := ((lineAddr / LineSize) >> c.cfg.IndexShift) & c.setMask
-	tag := lineAddr / LineSize
-	set := c.sets[setIdx]
-	c.lruClock++
-
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			c.hits++
-			set[i].lru = c.lruClock
-			if write {
-				set[i].dirty = true
-			}
-			return start + c.cfg.HitLatency, false
-		}
+	if victim&dirtyBit != 0 {
+		p.record(at, cu, victimAddr(victim), true, false, nil)
 	}
-
-	c.misses++
-	victim := 0
-	for i := 1; i < len(set); i++ {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
-	if set[victim].valid {
-		c.evictions++
-		if set[victim].dirty {
-			c.writebacks++
-			p.record(start+c.cfg.HitLatency, cu, set[victim].tag*LineSize, true, false, nil)
-		}
-	}
-	p.record(start+c.cfg.HitLatency, cu, lineAddr, false, false, resolve)
-	set[victim] = cacheLine{tag: tag, valid: true, dirty: write, lru: c.lruClock}
+	p.record(at, cu, lineAddr, false, false, resolve)
 	return 0, true
 }
 
 // Contains reports whether the line holding lineAddr is currently resident
 // (no LRU update, no timing side effects). Tests use it to verify fills.
 func (c *Cache) Contains(lineAddr uint64) bool {
-	setIdx := ((lineAddr / LineSize) >> c.cfg.IndexShift) & c.setMask
-	tag := lineAddr / LineSize
-	for _, l := range c.sets[setIdx] {
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
+	return lookup(c.set(lineAddr)) >= 0
 }

@@ -158,13 +158,30 @@ func (h *Hierarchy) VectorAccess(now event.Time, cuID int, addrs []uint64, write
 	}
 	l1 := h.l1v[cuID]
 	done := now
-	// Coalescing: collect unique line addresses. Lane counts are <= 64, so
-	// a small linear-scan set beats map allocation.
 	var lines [64]uint64
+	n := coalesce(addrs, &lines)
+	for i := 0; i < n; i++ {
+		if t := l1.Access(now, lines[i], write); t > done {
+			done = t
+		}
+	}
+	return done
+}
+
+// coalesce collects the unique line addresses of addrs (at most 64 lanes)
+// into lines in first-seen lane order and returns their count. The order is
+// observable: it is the order the lines arbitrate for the L1 port. Lane
+// counts are small, so a linear-scan set beats map allocation; a lane on the
+// line just appended — contiguous lanes share a line 16 at a time — skips
+// the scan.
+func coalesce(addrs []uint64, lines *[64]uint64) int {
 	n := 0
 outer:
 	for _, a := range addrs {
 		la := a &^ uint64(LineSize-1)
+		if n > 0 && lines[n-1] == la {
+			continue
+		}
 		for i := 0; i < n; i++ {
 			if lines[i] == la {
 				continue outer
@@ -173,12 +190,7 @@ outer:
 		lines[n] = la
 		n++
 	}
-	for i := 0; i < n; i++ {
-		if t := l1.Access(now, lines[i], write); t > done {
-			done = t
-		}
-	}
-	return done
+	return n
 }
 
 // AtomicAccess performs a per-warp atomic read-modify-write. As on GCN

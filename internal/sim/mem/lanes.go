@@ -142,18 +142,7 @@ func (p *LanePort) VectorAccess(now event.Time, cuID int, addrs []uint64, write 
 	}
 	l1 := h.l1v[cuID]
 	var lines [64]uint64
-	n := 0
-outer:
-	for _, a := range addrs {
-		la := a &^ uint64(LineSize-1)
-		for i := 0; i < n; i++ {
-			if lines[i] == la {
-				continue outer
-			}
-		}
-		lines[n] = la
-		n++
-	}
+	n := coalesce(addrs, &lines)
 	j := p.getJoin(now, p.latV, complete)
 	sync := now
 	for i := 0; i < n; i++ {

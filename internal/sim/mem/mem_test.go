@@ -7,6 +7,7 @@ import (
 
 	"photon/internal/obs"
 	"photon/internal/sim/event"
+	"photon/internal/testutil"
 )
 
 func TestFlatReadWriteRoundTrip(t *testing.T) {
@@ -217,6 +218,64 @@ func TestCacheIndexShiftUsesAllSets(t *testing.T) {
 	}
 }
 
+// TestCacheAccessZeroAlloc pins the tag store's hot paths at zero heap
+// allocations: a hit, a miss that evicts a dirty line and writes it back,
+// and a 64-lane coalesced VectorAccess through the hierarchy.
+func TestCacheAccessZeroAlloc(t *testing.T) {
+	c := testCache(&fixedLower{latency: 100})
+	c.Access(0, 0x40, false)
+	testutil.MustZeroAllocs(t, "Cache.Access (hit)", func() {
+		c.Access(0, 0x40, false)
+	})
+
+	setStride := uint64(16 * LineSize) // every access lands in set 0
+	var next uint64
+	miss := func() {
+		c.Access(0, next*setStride, true)
+		next++
+	}
+	for i := 0; i < 4; i++ { // fill set 0 with dirty lines
+		miss()
+	}
+	wb := c.Writebacks()
+	testutil.MustZeroAllocs(t, "Cache.Access (miss, dirty writeback)", miss)
+	if c.Writebacks() == wb {
+		t.Fatal("steady-state misses wrote nothing back")
+	}
+
+	h := testHierarchy()
+	addrs := make([]uint64, 64)
+	var base uint64
+	testutil.MustZeroAllocs(t, "Hierarchy.VectorAccess (64 lanes)", func() {
+		for i := range addrs {
+			addrs[i] = base + uint64(i)*4
+		}
+		base += 4 * LineSize
+		h.VectorAccess(0, 0, addrs, false)
+	})
+}
+
+// BenchmarkCacheStream times one L2 bank of the MI100 geometry (256 KB,
+// 16 ways, IndexShift 5 for 32 banks) on lines that are never reused: after
+// warm-up every access misses, evicts the tail of a full set and fills.
+func BenchmarkCacheStream(b *testing.B) {
+	c := NewCache(CacheConfig{Name: "L2", SizeBytes: 256 * 1024, Ways: 16,
+		HitLatency: 80, ThroughputCycles: 2, IndexShift: 5}, &fixedLower{latency: 100})
+	var line uint64
+	access := func() {
+		c.Access(event.Time(line), line<<5*LineSize, false)
+		line++
+	}
+	for i := 0; i < 256*1024/LineSize; i++ {
+		access()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		access()
+	}
+}
+
 func TestDRAMRowHitVsMiss(t *testing.T) {
 	d := NewDRAM(DRAMConfig{Name: "d", Banks: 4, RowBits: 11,
 		RowHitLatency: 50, RowMissLatency: 200, BurstCycles: 4})
@@ -264,26 +323,53 @@ func testHierarchy() *Hierarchy {
 	})
 }
 
+// TestHierarchyCoalescing checks that a warp's lanes collapse to their
+// unique lines and that the L1 misses reach L2 in first-seen lane order,
+// the order the lines arbitrate for the L1 port.
 func TestHierarchyCoalescing(t *testing.T) {
-	h := testHierarchy()
-	// 64 lanes all in one cache line: one L1 access.
-	addrs := make([]uint64, 64)
-	for i := range addrs {
-		addrs[i] = uint64(0x10000 + (i%16)*4)
-	}
-	h.VectorAccess(0, 0, addrs, false)
-	s := h.CollectStats()
-	if s.L1VHits+s.L1VMisses != 1 {
-		t.Fatalf("coalesced access produced %d L1 accesses, want 1", s.L1VHits+s.L1VMisses)
-	}
-	// Scattered: 64 lanes, 64 distinct lines.
-	for i := range addrs {
-		addrs[i] = uint64(0x100000 + i*LineSize)
-	}
-	h.VectorAccess(0, 0, addrs, false)
-	s = h.CollectStats()
-	if s.L1VHits+s.L1VMisses != 65 {
-		t.Fatalf("scattered access total = %d L1 accesses, want 65", s.L1VHits+s.L1VMisses)
+	const a, b = 0x10000, 0x20000
+	line := func(i int) uint64 { return a + uint64(i)*LineSize }
+	for _, tc := range []struct {
+		name  string
+		addr  func(lane int) uint64
+		lines []uint64
+	}{
+		{"one line", func(i int) uint64 { return a + uint64(i%16)*4 }, []uint64{a}},
+		{"contiguous", func(i int) uint64 { return a + uint64(i)*4 }, []uint64{line(0), line(1), line(2), line(3)}},
+		{"descending", func(i int) uint64 { return a + uint64(63-i)*4 }, []uint64{line(3), line(2), line(1), line(0)}},
+		{"interleaved", func(i int) uint64 {
+			if i%2 == 0 {
+				return a + uint64(i/2%16)*4
+			}
+			return b + uint64(i/2%16)*4
+		}, []uint64{a, b}},
+		{"scattered", func(i int) uint64 { return line(i * 37 % 64) }, nil},
+	} {
+		if tc.lines == nil {
+			for i := 0; i < 64; i++ {
+				tc.lines = append(tc.lines, tc.addr(i))
+			}
+		}
+		h := testHierarchy()
+		l2 := &recordingLower{}
+		h.l1v[0].lower = l2
+		addrs := make([]uint64, 64)
+		for i := range addrs {
+			addrs[i] = tc.addr(i)
+		}
+		h.VectorAccess(0, 0, addrs, false)
+		if s := h.CollectStats(); s.L1VHits+s.L1VMisses != uint64(len(tc.lines)) {
+			t.Errorf("%s: %d L1 accesses, want %d", tc.name, s.L1VHits+s.L1VMisses, len(tc.lines))
+		}
+		if len(l2.calls) != len(tc.lines) {
+			t.Errorf("%s: %d L1 misses reached L2, want %d", tc.name, len(l2.calls), len(tc.lines))
+			continue
+		}
+		for i, c := range l2.calls {
+			if c.line != tc.lines[i] {
+				t.Errorf("%s: L1 miss %d reached L2 for line %#x, want %#x (first-seen lane order)", tc.name, i, c.line, tc.lines[i])
+			}
+		}
 	}
 }
 
