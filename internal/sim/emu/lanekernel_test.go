@@ -64,8 +64,7 @@ type twinWarp struct {
 type regFill func(reg, lane int, v uint32) uint32
 
 // newTwin fills registers, EXEC, VCC, memory and LDS from seed, identically
-// for both twins; fill (when non-nil) overrides register values. Negative
-// seeds put the twins' atomics in deferred (capture) mode.
+// for both twins; fill (when non-nil) overrides register values.
 func newTwin(in isa.Inst, exec uint64, seed int64, fill regFill) *twinWarp {
 	prog := isa.MustProgram("lanes", []isa.Inst{in, {Op: isa.OpSEndpgm}}, ldsBytes)
 	t := &twinWarp{m: mem.NewFlat(), lds: make([]byte, ldsBytes)}
@@ -95,7 +94,6 @@ func newTwin(in isa.Inst, exec uint64, seed int64, fill regFill) *twinWarp {
 	rng.Read(t.lds)
 	t.w.SetExec(exec)
 	t.w.SetVCC(rng.Uint64())
-	t.w.store.SetDeferAtomics(seed < 0)
 	return t
 }
 
@@ -178,14 +176,8 @@ func diffTwins(in isa.Inst, exec uint64, seed int64, fill regFill) string {
 		d += fmt.Sprintf("step kind %d/%v, oracle %d/%v\n",
 			got.info.Kind, got.info.IsStore, want.info.Kind, want.info.IsStore)
 	}
-	for _, f := range [][2]any{
-		{got.info.Addrs, want.info.Addrs},
-		{got.info.AtomicVals, want.info.AtomicVals},
-		{got.info.AtomicLanes, want.info.AtomicLanes},
-	} {
-		if g, w := fmt.Sprint(f[0]), fmt.Sprint(f[1]); g != w {
-			d += fmt.Sprintf("step report %s, oracle %s\n", g, w)
-		}
+	if g, w := fmt.Sprint(got.info.Addrs), fmt.Sprint(want.info.Addrs); g != w {
+		d += fmt.Sprintf("step report %s, oracle %s\n", g, w)
 	}
 	gw, ww := got.m.ReadWords(memLo-4, (memHi-memLo)/4+2), want.m.ReadWords(memLo-4, (memHi-memLo)/4+2)
 	for i := range gw {
@@ -352,15 +344,9 @@ func TestLaneKernelsMatchOracleAtomics(t *testing.T) {
 				for _, a := range []isa.Operand{isa.V(0), isa.S(4)} {
 					for _, val := range []isa.Operand{isa.V(1), isa.S(5), isa.Imm(-7)} {
 						for _, dst := range []isa.Operand{{}, isa.V(2), isa.V(0)} {
-							for _, deferred := range []bool{false, true} {
-								in := isa.Inst{Op: op, Dst: dst, Src0: a, Src1: val, Offset: 8}
-								seed := rng.Int63()
-								if deferred {
-									seed = -seed
-								}
-								if d := diffTwins(in, exec, seed, addrFill(addr)); d != "" {
-									t.Fatalf("%s %v exec=%#x deferred=%v:\n%s", name, in, exec, deferred, d)
-								}
+							in := isa.Inst{Op: op, Dst: dst, Src0: a, Src1: val, Offset: 8}
+							if d := diffTwins(in, exec, rng.Int63(), addrFill(addr)); d != "" {
+								t.Fatalf("%s %v exec=%#x:\n%s", name, in, exec, d)
 							}
 						}
 					}

@@ -205,23 +205,6 @@ func refAtomicMem(w *Warp, in *isa.Inst, info *StepInfo, sgpr []uint32) {
 	exec := st.exec[w.slot]
 	la, ba := refVsrc(sgpr, vgpr, in.Src0)
 	lval, bval := refVsrc(sgpr, vgpr, in.Src1)
-	if st.deferAtomics {
-		n := 0
-		for lane := 0; lane < kernel.WavefrontSize; lane++ {
-			if exec&(1<<uint(lane)) == 0 {
-				continue
-			}
-			st.addrBuf[n] = uint64(refLv(la, ba, lane)) + uint64(int64(in.Offset))
-			st.atomVal[n] = refLv(lval, bval, lane)
-			st.atomLane[n] = uint8(lane)
-			n++
-		}
-		info.Addrs = st.addrBuf[:n]
-		info.AtomicVals = st.atomVal[:n]
-		info.AtomicLanes = st.atomLane[:n]
-		st.outMem[w.slot]++
-		return
-	}
 	var dst []uint32
 	if in.Dst.Kind == isa.OperandVReg {
 		dst = refVdst(vgpr, in.Dst)

@@ -22,10 +22,9 @@ const (
 	flagSCC                       // scalar condition code
 )
 
-// Memory is the functional-memory surface warps execute against. The
-// serial paths bind the launch's *mem.Flat directly; the quantum-laned
-// engine binds a per-lane *mem.FlatView so concurrent lanes never share
-// Flat's unlocked page cache.
+// Memory is the functional-memory surface warps execute against. Warps
+// bind the launch's *mem.Flat by default; Photon's online analysis binds an
+// undo-logging wrapper so it can roll its speculative run back.
 type Memory interface {
 	Read32(addr uint64) uint32
 	Write32(addr uint64, v uint32)
@@ -52,15 +51,8 @@ type WarpStore struct {
 	launch *kernel.Launch
 
 	// mem is the functional memory warps read and write; Configure resets it
-	// to the launch's Flat, SetMemView overrides it for laned execution.
+	// to the launch's Flat, SetMemView overrides it.
 	mem Memory
-
-	// deferAtomics makes atomicMem capture its per-lane (addr, value, lane)
-	// triples into the scratch buffers instead of performing the RMW, so the
-	// laned coordinator can apply global atomics at the quantum barrier in
-	// deterministic order (atomics execute at the L2 coherence point, which
-	// lanes never touch mid-quantum).
-	deferAtomics bool
 
 	// Per-slot strides into the shared slabs.
 	sregs  int // SGPR words per slot
@@ -93,11 +85,6 @@ type WarpStore struct {
 	// next Step on the same store, so sharing it saves 512 bytes per slot.
 	addrBuf [kernel.WavefrontSize]uint64
 
-	// atomVal/atomLane are the deferred-atomic scratch buffers
-	// StepInfo.AtomicVals/AtomicLanes alias, with addrBuf's lifetime rules.
-	atomVal  [kernel.WavefrontSize]uint32
-	atomLane [kernel.WavefrontSize]uint8
-
 	// bcast holds one scratch row per source operand position; a scalar
 	// register or immediate source is written to its row's lane 0 once per
 	// instruction and read with index mask 0 (see WarpStore.src). Only lane
@@ -124,7 +111,6 @@ func (s *WarpStore) Configure(l *kernel.Launch, slots int) {
 	p := l.Program
 	s.launch = l
 	s.mem = l.Memory
-	s.deferAtomics = false
 	s.sregs = max(p.NumSRegs, kernel.ArgSGPRBase+len(l.Args))
 	s.vwords = p.NumVRegs * kernel.WavefrontSize
 	s.blocks = p.NumBlocks()
@@ -195,11 +181,6 @@ func (s *WarpStore) Release(slot int) {
 // SetMemView overrides the functional memory the store's warps execute
 // against (call after Configure, which resets it to the launch's Flat).
 func (s *WarpStore) SetMemView(m Memory) { s.mem = m }
-
-// SetDeferAtomics switches atomic instructions into capture mode: Step
-// records (addr, value, lane) triples without touching memory, and the
-// caller applies them later via Warp.ApplyAtomic.
-func (s *WarpStore) SetDeferAtomics(v bool) { s.deferAtomics = v }
 
 // Slots returns the allocated slot capacity.
 func (s *WarpStore) Slots() int { return s.slots }

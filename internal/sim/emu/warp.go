@@ -44,13 +44,6 @@ type StepInfo struct {
 	SAddr    uint64   // address for scalar loads
 	EnteredB bool     // this instruction is the first of a basic block
 	BlockIdx int      // static basic-block index containing the instruction
-
-	// AtomicVals/AtomicLanes are the captured per-lane operand values and
-	// lane indices of a deferred atomic (SetDeferAtomics mode). They alias
-	// store scratch with Addrs' lifetime; the caller must copy them before
-	// the next Step and replay them through Warp.ApplyAtomic.
-	AtomicVals  []uint32
-	AtomicLanes []uint8
 }
 
 // Warp is a handle to one wavefront's architectural state: a slot in a
@@ -756,21 +749,6 @@ func (w *Warp) atomicMem(in *isa.Inst, info *StepInfo, sgpr []uint32) {
 	a, am := st.src(0, sgpr, vgpr, in.Src0)
 	v, vm := st.src(1, sgpr, vgpr, in.Src1)
 	off := uint64(int64(in.Offset))
-	if st.deferAtomics {
-		n := 0
-		for m := exec; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros64(m)
-			st.addrBuf[n] = uint64(a[lane&am]) + off
-			st.atomVal[n] = v[lane&vm]
-			st.atomLane[n] = uint8(lane)
-			n++
-		}
-		info.Addrs = st.addrBuf[:n]
-		info.AtomicVals = st.atomVal[:n]
-		info.AtomicLanes = st.atomLane[:n]
-		st.outMem[w.slot]++
-		return
-	}
 	var d *lanes
 	if in.Dst.Kind == isa.OperandVReg {
 		d = vreg(vgpr, in.Dst.Idx)
@@ -810,28 +788,6 @@ func atomicRMW(op isa.Op, old, val uint32) uint32 {
 		return bits32(f32(old) + f32(val))
 	}
 	panic(fmt.Sprintf("emu: atomicRMW on non-atomic op %s", op))
-}
-
-// ApplyAtomic replays a deferred atomic captured by Step under
-// SetDeferAtomics: the read-modify-writes execute now, in the given lane
-// order, and the old values land in the destination register if the
-// instruction names one. The timing machine calls this at the quantum
-// barrier at the operation's deterministic completion slot; destination
-// writes landing after issue match hardware's asynchronous writeback, which
-// well-formed programs order with s_waitcnt before reuse.
-func (w *Warp) ApplyAtomic(in *isa.Inst, addrs []uint64, vals []uint32, laneIDs []uint8) {
-	st := w.store
-	var d *lanes
-	if in.Dst.Kind == isa.OperandVReg {
-		d = vreg(w.vregs(), in.Dst.Idx)
-	}
-	for i, addr := range addrs {
-		old := st.mem.Read32(addr)
-		st.mem.Write32(addr, atomicRMW(in.Op, old, vals[i]))
-		if d != nil {
-			d[laneIDs[i]] = old
-		}
-	}
 }
 
 // ldsAccess moves one word per active lane between a VGPR and the

@@ -24,13 +24,6 @@ type Queue interface {
 	Pending() int
 	// Processed returns the total number of events executed so far.
 	Processed() uint64
-	// NextAt returns the timestamp of the earliest pending event, if any.
-	NextAt() (Time, bool)
-	// AdvanceTo moves the clock forward to t without firing anything;
-	// advancing past a pending event panics, moving backward is a no-op.
-	AdvanceTo(t Time)
-	// LastAt returns the timestamp of the most recently fired event.
-	LastAt() Time
 }
 
 var (

@@ -89,7 +89,7 @@ type Cache struct {
 	lower    Lower
 	portFree event.Time
 
-	// accesses is counted independently at the top of probe rather than
+	// accesses is counted independently at the top of Access rather than
 	// derived from hits+misses, so the conservation check
 	// accesses == hits + misses is a real invariant and not a tautology.
 	accesses                            uint64
@@ -187,11 +187,12 @@ func fill(set []uint64, word uint64, write bool) uint64 {
 // victimAddr is the line address a valid way word holds.
 func victimAddr(w uint64) uint64 { return (w>>1 - 1) * LineSize }
 
-// probe is the port arbitration, tag lookup, LRU update and plain counting
-// the serial and laned paths share. It returns when the access leaves the
-// tag check (the completion time of a hit, the departure time of a miss's
-// fill), whether it hit, and on a miss the evicted way word (0 if none).
-func (c *Cache) probe(now event.Time, lineAddr uint64, write bool) (at event.Time, hit bool, victim uint64) {
+// Access performs a timing access for the line containing lineAddr and
+// returns the completion time. lineAddr must be line-aligned. A miss writes
+// back a dirty victim, then fills from the lower level; the writeback
+// consumes lower-level bandwidth but is off the critical path of this
+// access.
+func (c *Cache) Access(now event.Time, lineAddr uint64, write bool) event.Time {
 	c.accesses++
 
 	// Port arbitration: the access cannot start before the port frees up.
@@ -200,41 +201,23 @@ func (c *Cache) probe(now event.Time, lineAddr uint64, write bool) (at event.Tim
 		start = c.portFree
 	}
 	c.portFree = start + c.cfg.ThroughputCycles
-	at = start + c.cfg.HitLatency
+	at := start + c.cfg.HitLatency
 
 	set, word := c.set(lineAddr)
 	if i := lookup(set, word); i >= 0 {
 		c.hits++
-		touch(set, i, write)
-		return at, true, 0
-	}
-	c.misses++
-	victim = fill(set, word, write)
-	if victim != 0 {
-		c.evictions++
-		if victim&dirtyBit != 0 {
-			c.writebacks++
-		}
-	}
-	return at, false, victim
-}
-
-// Access performs a timing access for the line containing lineAddr and
-// returns the completion time. lineAddr must be line-aligned. A miss writes
-// back a dirty victim, then fills from the lower level; the writeback
-// consumes lower-level bandwidth but is off the critical path of this
-// access.
-func (c *Cache) Access(now event.Time, lineAddr uint64, write bool) event.Time {
-	at, hit, victim := c.probe(now, lineAddr, write)
-	if hit {
 		c.mx.hits.Inc()
+		touch(set, i, write)
 		c.mx.latency.Observe(float64(at - now))
 		return at
 	}
+	c.misses++
 	c.mx.misses.Inc()
-	if victim != 0 {
+	if victim := fill(set, word, write); victim != 0 {
+		c.evictions++
 		c.mx.evictions.Inc()
 		if victim&dirtyBit != 0 {
+			c.writebacks++
 			c.mx.writebacks.Inc()
 			c.lower.Access(at, victimAddr(victim), true)
 		}
@@ -242,31 +225,6 @@ func (c *Cache) Access(now event.Time, lineAddr uint64, write bool) event.Time {
 	fillDone := c.lower.Access(at, lineAddr, false)
 	c.mx.latency.Observe(float64(fillDone - now))
 	return fillDone
-}
-
-// accessAsync is Access for the quantum-laned path: the same probe, but
-// instead of calling into the lower level synchronously, a miss records its
-// fill (and any victim writeback) on the lane port for the coordinator to
-// drain into the shared L2/DRAM at the next quantum barrier. It also skips
-// the shared registry-backed metrics entirely — those handles are atomics
-// common to every lane, and bumping them here would put cache-line
-// contention on the hottest loop in the simulator. The plain per-cache
-// counters (lane-owned, uncontended) keep counting; the laned runner folds
-// them into the registry once per run via FlushLaneTelemetry.
-//
-// Returns (done, false) when the access completed in-level (a hit), or
-// (0, true) when the fill was deferred; resolve will then be called at the
-// barrier with the completion time.
-func (c *Cache) accessAsync(now event.Time, lineAddr uint64, write bool, cu int, p *LanePort, resolve func(event.Time)) (event.Time, bool) {
-	at, hit, victim := c.probe(now, lineAddr, write)
-	if hit {
-		return at, false
-	}
-	if victim&dirtyBit != 0 {
-		p.record(at, cu, victimAddr(victim), true, false, nil)
-	}
-	p.record(at, cu, lineAddr, false, false, resolve)
-	return 0, true
 }
 
 // Contains reports whether the line holding lineAddr is currently resident

@@ -8,7 +8,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 )
 
 const (
@@ -23,11 +22,6 @@ const (
 type Flat struct {
 	pages map[uint64][]byte
 	brk   uint64
-
-	// mu guards the page map for FlatView access only. Flat's own methods
-	// stay unlocked — the serial simulation path is single-goroutine and
-	// pays nothing for the views' existence.
-	mu sync.RWMutex
 
 	// Single-entry page cache: GPU kernels stream through buffers, so
 	// consecutive accesses overwhelmingly hit the same 64 KiB page and skip
@@ -149,88 +143,4 @@ func (m *Flat) ReadWords(base uint64, n int) []uint32 {
 		out[i] = m.Read32(base + uint64(i)*4)
 	}
 	return out
-}
-
-// FlatView is a per-goroutine window onto a Flat. The quantum-laned engine
-// gives each lane its own view: views share the page map (lock-guarded on
-// the miss path) but keep private single-entry page caches, so concurrent
-// lanes never touch Flat's unlocked cache fields. Lanes address disjoint
-// byte ranges by construction (per-warp output segments; shared atomics are
-// deferred to the barrier), so page bytes themselves need no locking.
-type FlatView struct {
-	f        *Flat
-	lastPN   uint64
-	lastPage []byte
-}
-
-// View returns a fresh view of m. Concurrent use of views is safe; using
-// Flat's own methods concurrently with views is not.
-func (m *Flat) View() *FlatView {
-	return &FlatView{f: m, lastPN: ^uint64(0)}
-}
-
-// sharedPage returns (creating under the write lock if needed) page pn.
-func (m *Flat) sharedPage(pn uint64) []byte {
-	m.mu.RLock()
-	p, ok := m.pages[pn]
-	m.mu.RUnlock()
-	if ok {
-		return p
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if p, ok := m.pages[pn]; ok {
-		return p
-	}
-	p = make([]byte, pageSize)
-	m.pages[pn] = p
-	return p
-}
-
-func (v *FlatView) page(addr uint64) []byte {
-	pn := addr >> pageBits
-	if pn == v.lastPN {
-		return v.lastPage
-	}
-	p := v.f.sharedPage(pn)
-	v.lastPN, v.lastPage = pn, p
-	return p
-}
-
-// Read32 loads a little-endian 32-bit word through the view.
-func (v *FlatView) Read32(addr uint64) uint32 {
-	off := addr & pageMask
-	if off+4 <= pageSize {
-		return binary.LittleEndian.Uint32(v.page(addr)[off:])
-	}
-	var b [4]byte
-	for i := range b {
-		a := addr + uint64(i)
-		b[i] = v.page(a)[a&pageMask]
-	}
-	return binary.LittleEndian.Uint32(b[:])
-}
-
-// Window is Flat.Window through the view's page cache.
-func (v *FlatView) Window(addr uint64, n int) ([]byte, bool) {
-	off := addr & pageMask
-	if off+uint64(n) > pageSize {
-		return nil, false
-	}
-	return v.page(addr)[off : off+uint64(n)], true
-}
-
-// Write32 stores a little-endian 32-bit word through the view.
-func (v *FlatView) Write32(addr uint64, x uint32) {
-	off := addr & pageMask
-	if off+4 <= pageSize {
-		binary.LittleEndian.PutUint32(v.page(addr)[off:], x)
-		return
-	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], x)
-	for i := range b {
-		a := addr + uint64(i)
-		v.page(a)[a&pageMask] = b[i]
-	}
 }

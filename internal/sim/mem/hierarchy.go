@@ -58,10 +58,6 @@ type Hierarchy struct {
 	// L2 coherence point and so reach L2 without a corresponding L1 miss;
 	// CheckConservation needs the count to balance the L2 traffic equation.
 	atomicAccesses uint64
-
-	// drainBuf is the reusable scratch DrainLaneRequests merges lane
-	// requests into at each quantum barrier.
-	drainBuf []laneReq
 }
 
 // l2Router steers L1 misses to the right L2 bank by line interleaving.

@@ -68,19 +68,6 @@ type Machine struct {
 	retired     []uint64 // per CU: warps retired
 	classIssued [isa.FUClassCount]uint64
 	classLatSum [isa.FUClassCount]uint64
-
-	// lane, when non-nil, switches the machine into quantum-laned mode: the
-	// machine owns one lane of a LanedMachine, issues through the lane's
-	// memory port instead of the shared hierarchy, buffers observer events
-	// for the coordinator's merged replay, and defers group recycling and
-	// dispatch to the quantum barrier. The serial path (lane == nil) is
-	// untouched — it remains the differential reference for the laned engine.
-	lane *laneRT
-
-	// freeMemOps recycles the in-flight memory-operation records the laned
-	// issue path allocates (vector/atomic completions that resolve at the
-	// quantum barrier).
-	freeMemOps []*memOp
 }
 
 type cu struct {
@@ -120,25 +107,6 @@ type warpCtx struct {
 	curBlock      int
 	curBlockEnter event.Time
 	inBlock       bool
-
-	// Laned-mode issue state. One issued instruction can have several
-	// asynchronous readiness contributors (a pending I-fetch, a blocking
-	// scalar load, a parked s_waitcnt); issueParts counts them plus one for
-	// the issue itself, issueReady max-folds their completion times, and the
-	// last contributor schedules the warp's next readiness event.
-	issueParts int
-	issueReady event.Time
-	pendMem    int  // vector/atomic ops issued but not yet resolved
-	waiting    bool // parked at s_waitcnt until pendMem drains
-	waitBase   event.Time
-
-	scalarIssueAt event.Time
-	scalarObsIdx  int
-	scalarClass   isa.FUClass
-
-	// Cached laned-completion closures, built once per context like readyFn.
-	fetchResolve  func(event.Time)
-	scalarResolve func(event.Time)
 }
 
 type groupRT struct {
@@ -392,32 +360,12 @@ func (m *Machine) takeWarpCtx() *warpCtx {
 		wc.curBlock = 0
 		wc.curBlockEnter = 0
 		wc.inBlock = false
-		wc.issueParts = 0
-		wc.issueReady = 0
-		wc.pendMem = 0
-		wc.waiting = false
-		wc.waitBase = 0
 		return wc
 	}
 	wc := &warpCtx{}
 	wc.readyFn = func(now event.Time) {
 		wc.simd.readyQ = append(wc.simd.readyQ, wc)
 		m.pump(wc.simd, now)
-	}
-	wc.fetchResolve = func(done event.Time) {
-		if done > wc.issueReady {
-			wc.issueReady = done
-		}
-		m.finishIssue(wc)
-	}
-	wc.scalarResolve = func(done event.Time) {
-		lat := done - wc.scalarIssueAt
-		m.lane.events[wc.scalarObsIdx].latency = lat
-		m.classLatSum[wc.scalarClass] += uint64(lat)
-		if done > wc.issueReady {
-			wc.issueReady = done
-		}
-		m.finishIssue(wc)
 	}
 	return wc
 }
@@ -453,10 +401,6 @@ func (m *Machine) pump(s *simdUnit, now event.Time) {
 // issue executes one instruction of the warp and schedules its next
 // readiness.
 func (m *Machine) issue(wc *warpCtx, now event.Time) {
-	if m.lane != nil {
-		m.issueLaned(wc, now)
-		return
-	}
 	if !wc.started {
 		wc.started = true
 		wc.issueTime = now
@@ -556,10 +500,10 @@ func (m *Machine) arriveBarrier(wc *warpCtx, now event.Time) {
 
 func (m *Machine) retireWarp(wc *warpCtx, now event.Time) {
 	if wc.inBlock {
-		m.noteBlockRetired(now, wc)
+		m.obs.OnBlockRetired(now, &wc.warp, wc.curBlock, wc.curBlockEnter, now)
 		wc.inBlock = false
 	}
-	m.noteWarpRetired(now, wc)
+	m.obs.OnWarpRetired(now, &wc.warp, wc.issueTime)
 	m.warpsDone++
 	m.retired[wc.cu.id]++
 	g := wc.grp
@@ -576,15 +520,6 @@ func (m *Machine) retireWarp(wc *warpCtx, now event.Time) {
 				}
 			}
 		}
-		return
-	}
-	// Workgroup complete. In laned mode the group's state must survive until
-	// the quantum barrier: in-flight shared requests still resolve against
-	// its warps and the buffered observer events still point at them, so the
-	// coordinator recycles drained groups only after the barrier's drain and
-	// replay steps, then dispatches pending workgroups itself.
-	if m.lane != nil {
-		m.lane.drained = append(m.lane.drained, g)
 		return
 	}
 	m.recycleGroup(g)
