@@ -316,9 +316,9 @@ func (c *client) cancel(args []string) int {
 }
 
 // watch streams the job's SSE events, one JSON line per event, until the
-// job finishes. A dropped connection (a proxy or the cluster router going
-// away mid-stream) reconnects with Last-Event-ID, so the stream resumes
-// where it left off instead of replaying — no duplicate lines.
+// job finishes. A dropped connection (say, a proxy going away mid-stream)
+// reconnects with Last-Event-ID, so the stream resumes where it left off
+// instead of replaying — no duplicate lines.
 func (c *client) watch(args []string) int {
 	fs := flag.NewFlagSet("watch", flag.ContinueOnError)
 	fs.SetOutput(c.stderr)

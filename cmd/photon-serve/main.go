@@ -30,17 +30,6 @@
 // content-addressed store (capped by -cas-max-bytes, LRU-evicted), so a
 // restarted daemon answers previously-completed jobs from disk without
 // re-executing them.
-//
-// With -router, the process serves the same API as a cluster router over N
-// workers instead of executing jobs itself:
-//
-//	photon-serve -router -nodes http://host1:8080,http://host2:8080
-//
-// Jobs are consistent-hashed across workers by their canonical request
-// hash; the router probes the hash owner's cache before scheduling
-// (federated lookup), steals work away from saturated queues
-// (-steal-margin), and fails over along the ring's preference order when a
-// worker dies (health from /readyz polls every -probe-interval).
 package main
 
 import (
@@ -79,11 +68,6 @@ func realMain(args []string, stdout, stderr *os.File) int {
 		maxCached    = fs.Int("max-cached", 512, "completed results kept for cache hits")
 		casDir       = fs.String("cas-dir", "", "disk CAS directory: completed results survive restarts (empty: memory only)")
 		casMaxBytes  = fs.Int64("cas-max-bytes", 0, "disk CAS size cap in bytes (<= 0: 1 GiB)")
-		router       = fs.Bool("router", false, "run as a cluster router over -nodes instead of executing jobs")
-		nodes        = fs.String("nodes", "", "router mode: comma-separated worker URLs (or name=URL pairs)")
-		routeRep     = fs.Int("route-replicas", 0, "router mode: virtual nodes per worker on the hash ring (<= 0: 64)")
-		probeEvery   = fs.Duration("probe-interval", time.Second, "router mode: /readyz health-poll period")
-		stealMargin  = fs.Int("steal-margin", 2, "router mode: queue-depth gap that triggers work stealing (< 0: disabled)")
 		logLevel     = fs.String("log-level", "info", "minimum stderr log level (debug, info, warn, error)")
 		logFormat    = fs.String("log-format", "text", "stderr log encoding (text or json)")
 		flightCap    = fs.Int("flight-cap", 1024, "flight recorder ring capacity (0: disabled)")
@@ -107,22 +91,6 @@ func realMain(args []string, stdout, stderr *os.File) int {
 	var flight *obs.FlightRecorder
 	if *flightCap > 0 {
 		flight = obs.NewFlightRecorder(*flightCap)
-	}
-
-	if *router {
-		return runRouter(routerOptions{
-			addr:        *addr,
-			nodes:       *nodes,
-			replicas:    *routeRep,
-			probeEvery:  *probeEvery,
-			stealMargin: *stealMargin,
-			log:         log,
-			stderr:      stderr,
-		})
-	}
-	if *nodes != "" {
-		fmt.Fprintln(stderr, "photon-serve: -nodes only applies with -router")
-		return 2
 	}
 
 	reg := obs.NewRegistry()

@@ -25,6 +25,34 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
+// TestRemovedRouterFlags pins that the cluster-router flags are gone: a
+// stale script that still passes one must fail as a usage error instead of
+// starting a daemon. The names are split so a search for the old flags
+// finds only the docs. -version follows each flag so that, were the flag
+// still defined, realMain would return at once rather than bind a port.
+func TestRemovedRouterFlags(t *testing.T) {
+	cases := [][]string{
+		{"-" + "router"},
+		{"-" + "nodes", "http://127.0.0.1:1"},
+		{"-" + "route-replicas", "4"},
+		{"-" + "probe-interval", "1s"},
+		{"-" + "steal-margin", "2"},
+	}
+	for _, args := range cases {
+		errPath := filepath.Join(t.TempDir(), "stderr")
+		ef, err := os.Create(errPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code := realMain(append(args, "-version"), ef, ef)
+		ef.Close()
+		b, _ := os.ReadFile(errPath)
+		if code != 2 || !strings.Contains(string(b), "flag provided but not defined") {
+			t.Errorf("%s: exit = %d, want 2 with an undefined-flag error (output: %s)", args[0], code, b)
+		}
+	}
+}
+
 // TestSIGQUITFlightDump boots the real daemon in-process, runs one stub-free
 // (but trivial) interaction, sends the process SIGQUIT, and asserts the
 // flight recorder dump landed on stderr while the daemon kept serving; then

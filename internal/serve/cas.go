@@ -17,9 +17,8 @@ import (
 
 // CAS is a disk-backed content-addressed result store: one JSON file per
 // completed execution, named by the canonical request's SHA-256 hash. It is
-// what makes a worker's cache survive restarts — the scheduler consults it
-// before executing and spills every successful execution into it — and what
-// the cluster router's federated lookups read through GET /v1/cache/{hash}.
+// what makes the daemon's cache survive restarts: the scheduler consults it
+// before executing and spills every successful execution into it.
 //
 // Crash safety: writes go to a unique temp file in the store directory and
 // are fsynced before an atomic rename, so a crash mid-write leaves either
@@ -101,8 +100,8 @@ func OpenCAS(dir string, maxBytes int64, reg *obs.Registry, log *obs.Logger) (*C
 		mEvictions:   reg.Counter("serve_cas_evictions"),
 		mErrors:      reg.Counter("serve_cas_errors"),
 		mTouchErrors: reg.Counter("serve_cas_touch_errors"),
-		gBytes:     reg.Gauge("serve_cas_bytes"),
-		gEntries:   reg.Gauge("serve_cas_entries"),
+		gBytes:       reg.Gauge("serve_cas_bytes"),
+		gEntries:     reg.Gauge("serve_cas_entries"),
 	}
 	if err := c.rebuild(); err != nil {
 		return nil, err

@@ -677,41 +677,6 @@ func (s *Scheduler) statusLocked(j *job) JobStatus {
 	return st
 }
 
-// Load reports the scheduler's instantaneous load: queue depth, running
-// executions and the worker count. /readyz serves it so the cluster
-// router's rebalancing and work-stealing decisions see real pressure.
-func (s *Scheduler) Load() Load {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	inFlight := 0
-	for _, e := range s.execs {
-		if e.state == StateRunning {
-			inFlight++
-		}
-	}
-	depth := len(s.queue)
-	return Load{
-		QueueDepth: depth,
-		InFlight:   inFlight,
-		Workers:    s.cfg.Workers,
-		Saturated:  inFlight >= s.cfg.Workers && depth > 0,
-	}
-}
-
-// CachedResult answers a federated cache lookup by content address: the
-// in-memory execution table first (no disk touch), then the CAS. It never
-// schedules anything.
-func (s *Scheduler) CachedResult(hash string) (Output, bool) {
-	s.mu.Lock()
-	if e, ok := s.execs[hash]; ok && e.state == StateDone {
-		out := e.out
-		s.mu.Unlock()
-		return out, true
-	}
-	s.mu.Unlock()
-	return s.cfg.Store.Get(hash)
-}
-
 // Store exposes the scheduler's disk CAS (nil when disabled).
 func (s *Scheduler) Store() *CAS { return s.cfg.Store }
 

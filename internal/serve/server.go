@@ -39,7 +39,6 @@ func NewServer(sched *Scheduler, reg *obs.Registry) *Server {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/accuracy", s.accuracy)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.events)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.cancel)
-	s.mux.HandleFunc("GET /v1/cache/{hash}", s.cache)
 	s.mux.HandleFunc("GET /healthz", s.healthz)
 	s.mux.HandleFunc("GET /readyz", s.readyz)
 	s.mux.HandleFunc("GET /debug/flight", s.flight)
@@ -273,38 +272,11 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // readyz reports readiness: 503 once draining starts, so load balancers
-// stop routing new jobs while in-flight ones finish. The 200 body carries
-// the scheduler's load signal (queue depth, in-flight count, worker
-// saturation) for the cluster router's rebalancing and work-stealing;
-// probes that only check the status code are unaffected.
+// stop routing new jobs while in-flight ones finish.
 func (s *Server) readyz(w http.ResponseWriter, r *http.Request) {
 	if s.sched.Draining() {
 		writeErr(w, http.StatusServiceUnavailable, ErrDraining)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Status string `json:"status"`
-		Load
-	}{"ok", s.sched.Load()})
-}
-
-// cache is GET /v1/cache/{hash}: a federated cache lookup by content
-// address — the in-memory execution table first, then the disk CAS. The
-// cluster router probes the hash-owner node here before scheduling a job
-// anywhere; ?probe=1 answers 204 without shipping the artifacts. 404 means
-// this node has never completed (or has evicted) the request.
-func (s *Server) cache(w http.ResponseWriter, r *http.Request) {
-	hash := r.PathValue("hash")
-	out, ok := s.sched.CachedResult(hash)
-	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no cached result for %s", hash))
-		return
-	}
-	if r.URL.Query().Get("probe") != "" {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	writeJSON(w, http.StatusOK, CacheEntry{
-		Hash: hash, Output: out.Text, JSONL: out.JSONL, Accuracy: out.Accuracy,
-	})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -194,9 +194,9 @@ func BuildTrainingStep(batch int) (*workloads.App, error) {
 			return err
 		}
 		for _, u := range []struct {
-			name     string
-			w, g     uint64
-			old      []float32
+			name string
+			w, g uint64
+			old  []float32
 		}{{"sgd.w1", w1, dW1, w1s}, {"sgd.w2", w2, dW2, w2s},
 			{"sgd.wfc", wfc, dWfc, wfcs}, {"sgd.bfc", bfc, dBfc, bfcs}} {
 			if err := checkSGD(m, u.name, u.w, u.g, u.old); err != nil {
